@@ -103,13 +103,26 @@ QueueCompressor::Outcome QueueCompressor::ProcessTask(CompressionTask task) {
   // --- special case: F holds only the pointer to A ----------------------
   if (fn->count == 1) {
     const bool f_is_root = fn->is_root();
+    // §5.4: F must be compressed before A. A one-entry F that is the
+    // rightmost node of its level (a tail-biased split creates one) is
+    // exempt from the half-full rule, so no deletion or rearrangement
+    // ever queues it; queue F here, while its lock is held, or A would be
+    // requeued forever. Footnote 17 pops F (a higher level) before A.
+    if (!f_is_root && fn->count < k) {
+      std::vector<PageId> f_stack;
+      if (!task.stack.empty()) {
+        f_stack.assign(task.stack.begin(), task.stack.end() - 1);
+      }
+      EnqueueUnderfull(queue_, stats, f_page, *fn, std::move(f_stack),
+                       task.stamp);
+    }
     pager->Unlock(f_page);
     if (f_is_root) {
       // Root with a single child: try to shrink the tree.
       if (TryCollapseRoot(tree_) > 0) return Outcome::kRestructured;
     }
-    // Either F must be compressed before A, or separators of A's siblings
-    // are still in flight; retry later (§5.4).
+    // A waits for F, or for separators of its siblings still in flight;
+    // retry later.
     queue_->Push(std::move(task), /*update_if_present=*/false);
     stats->Add(StatId::kQueueRequeues);
     return Outcome::kRequeued;

@@ -64,6 +64,15 @@ RearrangeResult RearrangePair(SagivTree* tree, Page* f, PageId f_page,
                               Page* right, PageId right_page,
                               const RearrangeContext& ctx);
 
+/// Record `node` (image of the locked page `page`) on `queue` for
+/// compression, replacing any older record. The caller must hold the
+/// page's lock (§5.4: "the current lock on A must be kept by the process
+/// until it puts A on the queue"). `stack` is the root-to-parent path for
+/// the node, protected by `stamp`.
+void EnqueueUnderfull(CompressionQueue* queue, StatsCollector* stats,
+                      PageId page, const Node& node,
+                      std::vector<PageId> stack, Timestamp stamp);
+
 /// Collapse single-child root chains: while the root is a nonleaf with one
 /// entry whose child is the sole node of its level, make that child (or
 /// the deepest such descendant) the new root, mark the abandoned chain

@@ -233,6 +233,9 @@ TEST(ConcurrentMapTest, AttachesToExternalBackgroundPool) {
   ConcurrentMap scanned(SmallNodes(CompressionMode::kBackgroundScan), &pool);
   EXPECT_EQ(scanned.background_thread_count(), 0);
   for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(scanned.Insert(k, k).ok());
+  // ValidateStructure is quiescent-only: join the pool's workers first so
+  // no scan pass is mid-rearrangement (both maps can still detach).
+  pool.Stop();
   EXPECT_TRUE(scanned.ValidateStructure().ok());
 }
 

@@ -121,8 +121,10 @@ TEST(BackgroundPoolTest, DrainsManyShardsWithFewThreads) {
     }
     // Quiesce: let any in-flight task finish so the per-shard counters
     // and their per-tree attribution stop moving before comparison.
-    testutil::WaitForStableCounter(
-        [&]() { return pool.Stats().tasks_drained; }, []() { return true; });
+    EXPECT_TRUE(testutil::WaitForStableCounter(
+        [&]() { return pool.Stats().tasks_drained; }, []() { return true; }))
+        << "tasks_drained still moving after the queues emptied: "
+        << pool.Stats().tasks_drained;
     const PoolStatsSnapshot stats = pool.Stats();
     EXPECT_EQ(stats.threads, 2);
     EXPECT_GT(stats.tasks_drained, 0u);

@@ -191,6 +191,36 @@ TEST(QueueCompressorTest, EmptyingTreeCollapsesRoot) {
   EXPECT_GT(s.tree->stats()->Get(StatId::kRootCollapses), 0u);
 }
 
+TEST(QueueCompressorTest, ChildOfOneEntryRightmostParentDrains) {
+  // Ascending inserts take tail-biased splits, so the rightmost node of
+  // each interior level starts with a single entry; rightmost nodes are
+  // exempt from the half-full minimum, so no deletion queues them. When
+  // the rightmost leaf's parent holds only that leaf, §5.4 compresses the
+  // parent first: the compressor must queue the parent itself, not just
+  // requeue the child and wait for a task nobody else will push.
+  QueueSetup s(2);
+  ASSERT_TRUE(s.options.append_leaves);
+  for (Key k = 1; k <= 400; ++k) ASSERT_TRUE(s.tree->Insert(k, k).ok());
+  for (Key k = 1; k <= 400; ++k) {
+    if (k % 10 != 0) {
+      ASSERT_TRUE(s.tree->Delete(k).ok());
+    }
+  }
+  ASSERT_FALSE(s.queue->Empty());
+  QueueCompressor compressor(s.tree.get(), s.queue.get());
+  compressor.Drain();
+  EXPECT_TRUE(s.queue->Empty()) << "queue size " << s.queue->Size();
+  // Single-threaded, so no separator is ever in flight: a requeue only
+  // waits for an ancestor to be compressed first. A stuck task would run
+  // up the whole 256-stall budget of Drain().
+  EXPECT_LT(s.tree->stats()->Get(StatId::kQueueRequeues), 32u);
+  Status st = TreeChecker(s.tree.get()).CheckStructure();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  for (Key k = 10; k <= 400; k += 10) {
+    ASSERT_TRUE(s.tree->Search(k).ok()) << k;
+  }
+}
+
 TEST(QueueCompressorTest, StaleTaskIsDropped) {
   QueueSetup s(2);
   for (Key k = 1; k <= 100; ++k) ASSERT_TRUE(s.tree->Insert(k, k).ok());

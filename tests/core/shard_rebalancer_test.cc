@@ -404,8 +404,12 @@ TEST(ShardRebalancerStress, EightThreadChurnUnderLiveRebalancing) {
   }
   for (auto& th : threads) th.join();
 
-  // Park the controller so the final checks run against a quiescent map.
+  // Park the controller and the compression pool (joins its workers, so
+  // no merge or redistribution is in flight) so the final checks run
+  // against a quiescent map: ValidateStructure is quiescent-only.
   map.rebalancer()->Stop();
+  ASSERT_NE(map.pool(), nullptr);
+  map.pool()->Stop();
 
   EXPECT_EQ(value_mismatches.load(), 0u);
   EXPECT_EQ(order_violations.load(), 0u);

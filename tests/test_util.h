@@ -20,16 +20,18 @@ namespace testutil {
 /// until two consecutive reads agree and `settled` (a callable returning
 /// bool) holds, or ~2 s elapse. Used to quiesce background-pool counters
 /// (in-flight tasks finish in bounded time once queues are empty) before
-/// strict equality assertions.
+/// strict equality assertions. Returns false if the counter never
+/// settled, e.g. a pool that keeps working on an "empty" queue.
 template <typename Read, typename Settled>
-inline void WaitForStableCounter(Read read, Settled settled) {
+inline bool WaitForStableCounter(Read read, Settled settled) {
   uint64_t prev = read();
   for (int i = 0; i < 2000; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     const uint64_t cur = read();
-    if (cur == prev && settled()) return;
+    if (cur == prev && settled()) return true;
     prev = cur;
   }
+  return false;
 }
 
 /// OS threads of this process (-1 where /proc is unavailable). Used to
