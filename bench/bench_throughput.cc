@@ -6,16 +6,15 @@
 // hand-off) and out-scale lock-coupling and a global lock decisively,
 // with the gap widening with thread count and write share.
 //
-// E2c — copy-reads vs optimistic in-place reads on the Sagiv tree: the
-// same read-mostly workload with the descent copying 4 KB per node
-// visited (optimistic_reads = false) against the version-validated
-// in-place read path (the default). This is the PR 2 tentpole measured,
-// not asserted.
+// E2c — the read path on the Sagiv tree: a 1-thread get-only cell that
+// records ns per lookup and the pages copied per lookup. Every page read
+// of Search is in place and either validates or is discarded, so copies
+// are kGets - validations - retries; CI gates the figure at 0.
 //
-// E2d — copy-writes vs in-place writes on the Sagiv tree: a write-heavy
-// workload with every mutation doing the full Get + Put page copy cycle
-// (inplace_writes = false) against the seqlock-bracketed in-place
-// mutation path (the default), which stores only the shifted entries.
+// E2d — the write path on the Sagiv tree: a write-heavy cell that
+// records the page bytes copied per split. No-split mutations edit the
+// live page in place, so only splits (3 pages) and root creations
+// (4 pages) copy; CI gates write_bytes_copied_per_split <= 4 pages.
 //
 // E2f — monotonic insert-only with append-optimized leaves on vs off:
 // every key extends the max, so the rightmost fast path skips the
@@ -34,6 +33,7 @@
 // the numbers as the repo's perf trajectory.
 
 #include <algorithm>
+#include <cfloat>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -72,9 +72,15 @@ void Record(const std::string& config, int threads, double kops) {
   Samples().push_back(JsonSample{config, threads, kops});
 }
 
-void WriteJson(const char* path, bool quick, double read_path_speedup_1t,
-               double write_path_speedup_1t, double mixed_scaling_4t_over_1t,
-               double batch_io_speedup_1t, double append_path_speedup_1t,
+struct ReadPathNumbers {
+  double ns_per_lookup_1t = 0.0;
+  double page_copies_per_lookup = 0.0;
+};
+
+void WriteJson(const char* path, bool quick, const ReadPathNumbers& read,
+               double write_bytes_copied_per_split,
+               double mixed_scaling_4t_over_1t, double batch_io_speedup_1t,
+               double append_path_speedup_1t,
                double monotonic_scaling_4t_over_1t, double io_real_vs_sim) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -89,10 +95,15 @@ void WriteJson(const char* path, bool quick, double read_path_speedup_1t,
   // the CI gate (which runs on a multi-core runner) can tell a real
   // scaling regression from a core-starved host.
   std::fprintf(f, "  \"cpus\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"read_path_speedup_1t\": %.3f,\n",
-               read_path_speedup_1t);
-  std::fprintf(f, "  \"write_path_speedup_1t\": %.3f,\n",
-               write_path_speedup_1t);
+  std::fprintf(f, "  \"read_ns_per_lookup_1t\": %.1f,\n",
+               read.ns_per_lookup_1t);
+  // Gated == 0: Search reads every page in place.
+  std::fprintf(f, "  \"read_page_copies_per_lookup\": %.6f,\n",
+               read.page_copies_per_lookup);
+  // Gated <= 4 * kPageSize: only splits and root creations copy pages.
+  // %g keeps the copies-without-splits sentinel (DBL_MAX) parseable.
+  std::fprintf(f, "  \"write_bytes_copied_per_split\": %.6g,\n",
+               write_bytes_copied_per_split);
   // Single-tree mixed(50/25/25) in-memory scaling, 4 threads over 1:
   // PR 4 removed the copy traffic (0.97x), PR 5's contention-proof paper
   // lock + contention-aware write descent attack the remaining
@@ -202,60 +213,59 @@ void RunMix(WorkloadSpec spec, const std::vector<int>& thread_counts,
 
 // ------------------------------------------------------------------- E2c
 
-WorkloadSpec ReadPathSpec(Key key_space) {
-  WorkloadSpec spec = WorkloadSpec::ReadMostly();
+WorkloadSpec GetOnlySpec(Key key_space) {
+  WorkloadSpec spec;
+  spec.search_pct = 1.0;
+  spec.insert_pct = 0.0;
+  spec.delete_pct = 0.0;
+  spec.scan_pct = 0.0;
+  spec.name = "get-only(100/0/0)";
   spec.key_space = key_space;
   spec.preload = key_space / 2;
   return spec;
 }
 
-DriverResult ReadPathRun(bool optimistic, int threads,
-                         uint64_t ops_per_thread, Key key_space) {
-  TreeOptions options;
-  options.min_entries = 32;
-  options.optimistic_reads = optimistic;
-  SagivTree tree(options);
-  const WorkloadSpec spec = ReadPathSpec(key_space);
-  PreloadTree(&tree, spec, 4);
-  return RunWorkload(&tree, spec, threads, ops_per_thread, /*seed=*/7);
-}
-
-double RunReadPathComparison(bool quick) {
+ReadPathNumbers RunReadPathCell(bool quick) {
   PrintBanner(
-      "E2c: copy-reads vs optimistic in-place reads, Sagiv tree",
-      "the copy path moves 4 KB per node visited (>= 12 KB per point "
-      "lookup on a height-3 tree); the optimistic path reads the header "
-      "and one binary-search slot in place and validates the page version "
-      "instead. Same workload, same tree — the opt/copy column is the "
-      "read-path win; retries/op shows validation pressure");
+      "E2c: the read path, Sagiv tree, 1 thread",
+      "Search reads the header and one binary-search slot of each node in "
+      "place and validates the page version instead of copying 4 KB per "
+      "node. Every page read validates or is discarded, so copies/lookup "
+      "= (gets - validations - retries) / lookups must be 0");
   const Key key_space = 200'000;
   const uint64_t ops = quick ? 30'000 : 200'000;
-  const std::string workload = ReadPathSpec(key_space).name;
-  std::printf("workload: %s, %llu ops/thread, %llu preloaded keys\n",
-              workload.c_str(), static_cast<unsigned long long>(ops),
+  const WorkloadSpec spec = GetOnlySpec(key_space);
+  std::printf("workload: %s, %llu ops, %llu preloaded keys\n",
+              spec.name.c_str(), static_cast<unsigned long long>(ops),
               static_cast<unsigned long long>(key_space / 2));
-  Table table({"threads", "copy", "optimistic", "opt/copy", "retries/op",
-               "fallbacks"});
-  double speedup_1t = 0.0;
-  for (int threads : {1, 2, 4}) {
-    const DriverResult copy = ReadPathRun(false, threads, ops, key_space);
-    const DriverResult opt = ReadPathRun(true, threads, ops, key_space);
-    const double copy_kops = copy.MopsPerSec() * 1000.0;
-    const double opt_kops = opt.MopsPerSec() * 1000.0;
-    Record(workload + "/copy", threads, copy_kops);
-    Record(workload + "/optimistic", threads, opt_kops);
-    if (threads == 1 && copy_kops > 0) speedup_1t = opt_kops / copy_kops;
-    const double retries_per_op =
-        static_cast<double>(opt.stats.Get(StatId::kOptimisticRetries)) /
-        static_cast<double>(opt.total_ops);
-    table.AddRow({Fmt(static_cast<uint64_t>(threads)), Fmt(copy_kops),
-                  Fmt(opt_kops), FmtRatio(opt_kops, copy_kops),
-                  Fmt(retries_per_op, 4),
-                  Fmt(opt.stats.Get(StatId::kOptimisticFallbacks))});
-  }
+  TreeOptions options;
+  options.min_entries = 32;
+  SagivTree tree(options);
+  PreloadTree(&tree, spec, 4);
+  const DriverResult r = RunWorkload(&tree, spec, 1, ops, /*seed=*/7);
+  const double kops = r.MopsPerSec() * 1000.0;
+  Record(spec.name + "/sagiv", 1, kops);
+  const double lookups = static_cast<double>(r.total_ops);
+  const uint64_t reads_accounted =
+      r.stats.Get(StatId::kOptimisticValidations) +
+      r.stats.Get(StatId::kOptimisticRetries);
+  const uint64_t gets = r.stats.Get(StatId::kGets);
+  ReadPathNumbers out;
+  out.ns_per_lookup_1t = kops > 0 ? 1e6 / kops : 0.0;
+  out.page_copies_per_lookup =
+      gets > reads_accounted
+          ? static_cast<double>(gets - reads_accounted) / lookups
+          : 0.0;
+  Table table({"threads", "Kops/s", "ns/lookup", "retries/lookup",
+               "copies/lookup"});
+  table.AddRow({"1", Fmt(kops), Fmt(out.ns_per_lookup_1t, 1),
+                Fmt(static_cast<double>(
+                        r.stats.Get(StatId::kOptimisticRetries)) /
+                        lookups, 4),
+                Fmt(out.page_copies_per_lookup, 4)});
   table.Print();
-  std::printf("(cells are Kops/s; higher is better)\n\n");
-  return speedup_1t;
+  std::printf("\n");
+  return out;
 }
 
 // ------------------------------------------------------------------- E2d
@@ -272,68 +282,51 @@ WorkloadSpec WritePathSpec(Key key_space) {
   return spec;
 }
 
-DriverResult WritePathRun(bool inplace, int threads, uint64_t ops_per_thread,
-                          Key key_space) {
-  TreeOptions options;
-  options.min_entries = 32;
-  options.inplace_writes = inplace;
-  SagivTree tree(options);
-  const WorkloadSpec spec = WritePathSpec(key_space);
-  PreloadTree(&tree, spec, 4);
-  return RunWorkload(&tree, spec, threads, ops_per_thread, /*seed=*/11);
-}
-
-double RunWritePathComparison(bool quick) {
+// Returns the worst (largest) copied bytes per split over the cells.
+double RunWritePathCells(bool quick) {
   PrintBanner(
-      "E2d: copy-writes vs in-place writes, Sagiv tree",
-      "the copy path moves >= 8 KB per mutation (full-page Get under the "
-      "lock + full-page Put back) to change one slot; the in-place path "
-      "mutates the live page under the paper lock, bracketed by seqlock "
-      "odd/even bumps, storing only the shifted entries. inplace/copy is "
-      "the write-path win; ip-writes/op counts mutations served in place");
+      "E2d: the write path, Sagiv tree",
+      "no-split mutations edit the live page under the paper lock, "
+      "bracketed by seqlock odd/even bumps, storing only the shifted "
+      "entries; only splits (get + 2 puts) and root creations (get + 3 "
+      "puts) copy whole pages, so copied bytes per split stay <= 4 pages");
   const Key key_space = 200'000;
   const uint64_t ops = quick ? 30'000 : 200'000;
-  const std::string workload = WritePathSpec(key_space).name;
+  const WorkloadSpec spec = WritePathSpec(key_space);
   std::printf("workload: %s, %llu ops/thread, %llu preloaded keys\n",
-              workload.c_str(), static_cast<unsigned long long>(ops),
+              spec.name.c_str(), static_cast<unsigned long long>(ops),
               static_cast<unsigned long long>(key_space / 2));
-  Table table({"threads", "copy", "inplace", "inplace/copy", "ip-writes/op",
-               "fallbacks"});
-  double speedup_1t = 0.0;
-  for (int threads : {1, 2, 4}) {
-    const DriverResult copy = WritePathRun(false, threads, ops, key_space);
-    const DriverResult inplace = WritePathRun(true, threads, ops, key_space);
-    const double copy_kops = copy.MopsPerSec() * 1000.0;
-    const double inplace_kops = inplace.MopsPerSec() * 1000.0;
-    Record(workload + "/copy", threads, copy_kops);
-    Record(workload + "/inplace", threads, inplace_kops);
-    if (threads == 1 && copy_kops > 0) speedup_1t = inplace_kops / copy_kops;
-    const double ip_per_op =
-        static_cast<double>(inplace.stats.Get(StatId::kInplaceWrites)) /
-        static_cast<double>(inplace.total_ops);
-    table.AddRow({Fmt(static_cast<uint64_t>(threads)), Fmt(copy_kops),
-                  Fmt(inplace_kops), FmtRatio(inplace_kops, copy_kops),
-                  Fmt(ip_per_op, 4),
-                  Fmt(inplace.stats.Get(StatId::kInplaceFallbacks))});
+  Table table({"threads", "Kops/s", "ip-writes/op", "splits",
+               "copied B/split"});
+  double worst = 0.0;
+  for (int threads : {1, 4}) {
+    TreeOptions options;
+    options.min_entries = 32;
+    SagivTree tree(options);
+    PreloadTree(&tree, spec, 4);
+    const DriverResult r = RunWorkload(&tree, spec, threads, ops,
+                                       /*seed=*/11);
+    const double kops = r.MopsPerSec() * 1000.0;
+    Record(spec.name + "/sagiv", threads, kops);
+    const uint64_t copied = r.stats.Get(StatId::kWriteBytesCopied);
+    const uint64_t splits = r.stats.Get(StatId::kSplits);
+    // Copies without a split break the bound outright.
+    const double per_split =
+        splits > 0 ? static_cast<double>(copied) / static_cast<double>(splits)
+                   : (copied > 0 ? DBL_MAX : 0.0);
+    worst = std::max(worst, per_split);
+    table.AddRow({Fmt(static_cast<uint64_t>(threads)), Fmt(kops),
+                  Fmt(static_cast<double>(
+                          r.stats.Get(StatId::kInplaceWrites)) /
+                          static_cast<double>(r.total_ops), 4),
+                  Fmt(splits), Fmt(per_split, 1)});
   }
   table.Print();
-  std::printf("(cells are Kops/s; higher is better)\n\n");
-  return speedup_1t;
+  std::printf("(Kops/s: higher is better)\n\n");
+  return worst;
 }
 
 // ------------------------------------------------------------------- E2e
-
-WorkloadSpec GetOnlySpec(Key key_space) {
-  WorkloadSpec spec;
-  spec.search_pct = 1.0;
-  spec.insert_pct = 0.0;
-  spec.delete_pct = 0.0;
-  spec.scan_pct = 0.0;
-  spec.name = "get-only(100/0/0)";
-  spec.key_space = key_space;
-  spec.preload = key_space / 2;
-  return spec;
-}
 
 DriverResult BatchPathRun(bool batched, int threads, uint64_t ops_per_thread,
                           Key key_space, uint64_t io_ns) {
@@ -649,8 +642,8 @@ int main(int argc, char** argv) {
   const uint64_t io_ops = quick ? 200 : 2'000;
   const Key key_space = quick ? 40'000 : 400'000;
 
-  const double speedup_1t = RunReadPathComparison(quick);
-  const double write_speedup_1t = RunWritePathComparison(quick);
+  const ReadPathNumbers read_path = RunReadPathCell(quick);
+  const double write_bytes_copied_per_split = RunWritePathCells(quick);
   const double batch_io_speedup = RunBatchComparison(quick);
   double append_speedup_1t = 0.0;
   double monotonic_scaling = 0.0;
@@ -697,8 +690,8 @@ int main(int argc, char** argv) {
       "Record-only: disk speed varies too much across runners to gate.");
   const double io_real_vs_sim = RunPersistenceCells(quick);
 
-  WriteJson("BENCH_throughput.json", quick, speedup_1t, write_speedup_1t,
-            mixed_scaling, batch_io_speedup, append_speedup_1t,
-            monotonic_scaling, io_real_vs_sim);
+  WriteJson("BENCH_throughput.json", quick, read_path,
+            write_bytes_copied_per_split, mixed_scaling, batch_io_speedup,
+            append_speedup_1t, monotonic_scaling, io_real_vs_sim);
   return 0;
 }

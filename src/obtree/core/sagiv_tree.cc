@@ -19,6 +19,18 @@ namespace {
 // instead of a hang.
 constexpr int kMaxStepsPerAttempt = 1 << 22;
 
+// Consecutive discarded reads of one node after which a reader yields
+// before each re-read. A read is discarded because a writer holds the
+// page's seqlock odd; on a host with fewer cores than threads that writer
+// may be preempted mid-bracket, and spinning against it only delays it.
+constexpr int kTornReadsBeforeYield = 8;
+
+// Records one more discarded read in a reader's consecutive-discard
+// streak and yields once the streak passes kTornReadsBeforeYield.
+void BackOffTornRead(int* streak) {
+  if (++*streak > kTornReadsBeforeYield) std::this_thread::yield();
+}
+
 // Where an unlocked descent proceeds from one node, as decided from an
 // optimistic (unvalidated) in-place image. kTorn marks an image too
 // inconsistent to classify (e.g. ChildFor fell off the entries): the
@@ -97,12 +109,10 @@ SagivTree::RestartCause CauseFor(Route::Kind kind) {
   }
 }
 
-// Per-thread scratch shared by the read paths: the optimistic scan's
-// harvest buffer and the copy fallback's page image. One instance per
-// thread instead of per call; the in_use flag hands reentrant calls (a
-// visitor that scans the same tree) a local buffer instead.
+// Per-thread harvest buffer of Scan. One instance per thread instead of
+// per call; the in_use flag hands reentrant calls (a visitor that scans
+// the same tree) a local buffer instead.
 struct TlReadBuffers {
-  Page page;
   std::vector<Entry> entries;
   bool in_use = false;
 };
@@ -270,13 +280,13 @@ void SagivTree::AttachCompressionQueue(CompressionQueue* queue) {
 // Descending
 // ---------------------------------------------------------------------------
 
-Status SagivTree::FetchPage(PageId id, Page* out) const {
-  Status s = pager_->Get(id, out);
-  if (s.ok()) return s;
-  // Transient fetch failure (injected today; a real PageStore's I/O error
-  // tomorrow): bounded retry with exponential backoff before surfacing
-  // Unavailable to the operation. Only the lock-free descents come through
-  // here — locked fetches cannot fail (see PageManager::Get).
+PageManager::ReadGuard SagivTree::ReadNode(PageId id, bool locked) const {
+  PageManager::ReadGuard g =
+      locked ? pager_->PeekLocked(id) : pager_->OptimisticRead(id);
+  if (g.status().ok()) return g;
+  // Transient fetch failure (an injected fault or a store read error):
+  // bounded retry with exponential backoff before surfacing the error to
+  // the operation.
   for (int attempt = 0; attempt < options_.fetch_retry_limit; ++attempt) {
     stats_->Add(StatId::kFetchRetries);
     const uint32_t base = options_.fetch_retry_backoff_us;
@@ -285,11 +295,11 @@ Status SagivTree::FetchPage(PageId id, Page* out) const {
       std::this_thread::sleep_for(
           std::chrono::microseconds(static_cast<uint64_t>(base) << shift));
     }
-    s = pager_->Get(id, out);
-    if (s.ok()) return s;
+    g = locked ? pager_->PeekLocked(id) : pager_->OptimisticRead(id);
+    if (g.status().ok()) return g;
   }
   stats_->Add(StatId::kFetchGiveups);
-  return s;
+  return g;
 }
 
 void SagivTree::CountRestart(RestartCause cause) const {
@@ -312,19 +322,6 @@ void SagivTree::CountRestart(RestartCause cause) const {
 Result<PageId> SagivTree::internal_FindNodeAtLevel(
     Key key, uint32_t level, std::vector<PageId>* stack_out,
     bool wait_for_level) const {
-  if (options_.optimistic_reads) {
-    int failures = 0;
-    Result<PageId> r = OptimisticFindNodeAtLevel(key, level, stack_out,
-                                                 wait_for_level, &failures);
-    if (r.ok() || !r.status().IsAborted()) return r;
-    stats_->Add(StatId::kOptimisticFallbacks);
-  }
-  return CopyFindNodeAtLevel(key, level, stack_out, wait_for_level);
-}
-
-Result<PageId> SagivTree::OptimisticFindNodeAtLevel(
-    Key key, uint32_t level, std::vector<PageId>* stack_out,
-    bool wait_for_level, int* failures) const {
   int restarts = 0;
   int waits = 0;
   for (;;) {
@@ -346,11 +343,13 @@ Result<PageId> SagivTree::OptimisticFindNodeAtLevel(
     PageId current = pb.root();
     RestartCause cause = RestartCause::kNone;
     bool restart = false;
+    int torn = 0;
     for (int steps = 0; !restart; ++steps) {
       if (steps > kMaxStepsPerAttempt) {
         return Status::Internal("descent did not terminate");
       }
-      const PageManager::ReadGuard g = pager_->OptimisticRead(current);
+      const PageManager::ReadGuard g = ReadNode(current);
+      if (!g.status().ok()) return g.status();
       Route route;  // defaults to kTorn for the unstable-guard case
       if (g.stable()) {
         route = RouteForKey(NodeView(g.page()->As<Node>()), key, level);
@@ -362,11 +361,10 @@ Result<PageId> SagivTree::OptimisticFindNodeAtLevel(
       }
       if (route.kind == Route::kTorn) {
         stats_->Add(StatId::kOptimisticRetries);
-        if (++(*failures) > options_.optimistic_retry_limit) {
-          return Status::Aborted("optimistic retry budget exhausted");
-        }
+        BackOffTornRead(&torn);
         continue;  // re-read the same node
       }
+      torn = 0;
       stats_->Add(StatId::kOptimisticValidations);
       switch (route.kind) {
         case Route::kArrived:
@@ -400,152 +398,6 @@ Result<PageId> SagivTree::OptimisticFindNodeAtLevel(
   }
 }
 
-Result<PageId> SagivTree::CopyFindNodeAtLevel(Key key, uint32_t level,
-                                              std::vector<PageId>* stack_out,
-                                              bool wait_for_level) const {
-  int restarts = 0;
-  int waits = 0;
-  for (;;) {
-    if (stack_out) stack_out->clear();
-    const PrimeBlockData pb = prime_.Read();
-    if (pb.num_levels <= level) {
-      if (!wait_for_level) {
-        return Status::NotFound("level does not exist");
-      }
-      // Section 3.3: a split outran the creation of the level it must post
-      // to (or the level was collapsed and will be regrown by a pending
-      // insertion). Wait for the prime block to show the level.
-      if (++waits > options_.max_restarts) {
-        return Status::Internal("level never appeared");
-      }
-      std::this_thread::yield();
-      continue;
-    }
-    PageId current = pb.root();
-    Page page;
-    Node* node = page.As<Node>();
-    RestartCause cause = RestartCause::kNone;
-    for (int steps = 0;; ++steps) {
-      if (steps > kMaxStepsPerAttempt) {
-        return Status::Internal("descent did not terminate");
-      }
-      Status gs = FetchPage(current, &page);
-      if (!gs.ok()) return gs;
-      if (node->is_deleted()) {
-        const PageId target = node->merge_target;
-        if (target == kInvalidPageId) {
-          cause = RestartCause::kMissingMergeTarget;
-          break;
-        }
-        stats_->Add(StatId::kMergePointerFollows);
-        current = target;
-        continue;
-      }
-      if (node->level < level || key <= node->low) {
-        // Wrong node: either a reclaimed-and-reused page (stale pointer) or
-        // data moved left by a compression (Section 5.2 case (2)).
-        cause = RestartCause::kStaleNode;
-        break;
-      }
-      if (key > node->high) {
-        const PageId link = node->link;
-        if (link == kInvalidPageId) {
-          cause = RestartCause::kRightmostStale;  // stale rightmost node
-          break;
-        }
-        stats_->Add(StatId::kLinkFollows);
-        current = link;
-        continue;
-      }
-      if (node->level == level) return current;
-      if (stack_out) stack_out->push_back(current);
-      current = node->ChildFor(key);
-    }
-    CountRestart(cause);
-    if (++restarts > options_.max_restarts) {
-      return Status::Internal("too many restarts in FindNodeAtLevel");
-    }
-  }
-}
-
-Status SagivTree::DescendToLeaf(Key key, EpochManager::Guard* guard,
-                                Page* page, PageId* leaf_page) const {
-  Node* node = page->As<Node>();
-  int restarts = 0;
-  for (;;) {
-    const PrimeBlockData pb = prime_.Read();
-    PageId current = pb.root();
-    // §5.2 backtrack optimization: remember the node we came down
-    // through; a search routed to a wrong node first retries from there
-    // and only restarts at the root if the previous node is also wrong.
-    PageId previous = kInvalidPageId;
-    bool backtracked = false;
-    int backtracks_this_attempt = 0;
-    RestartCause cause = RestartCause::kNone;
-    for (int steps = 0;; ++steps) {
-      if (steps > kMaxStepsPerAttempt) {
-        return Status::Internal("descent did not terminate");
-      }
-      Status gs = FetchPage(current, page);
-      if (!gs.ok()) return gs;
-      bool wrong = false;
-      if (node->is_deleted()) {
-        const PageId target = node->merge_target;
-        if (target != kInvalidPageId) {
-          stats_->Add(StatId::kMergePointerFollows);
-          current = target;
-          continue;
-        }
-        cause = RestartCause::kMissingMergeTarget;
-        wrong = true;
-      } else if (key <= node->low) {
-        cause = RestartCause::kStaleNode;
-        wrong = true;
-      }
-      if (wrong) {
-        if (previous != kInvalidPageId && !backtracked &&
-            ++backtracks_this_attempt <= 4) {
-          // One backtrack per wrong-node event, a few per descent: the
-          // previous node re-evaluates next(A, v) against fresh contents;
-          // if it keeps routing us wrong, fall back to a root restart.
-          stats_->Add(StatId::kBacktracks);
-          current = previous;
-          previous = kInvalidPageId;
-          backtracked = true;
-          continue;
-        }
-        break;
-      }
-      if (key > node->high) {
-        const PageId link = node->link;
-        if (link == kInvalidPageId) {
-          cause = RestartCause::kRightmostStale;
-          break;
-        }
-        stats_->Add(StatId::kLinkFollows);
-        previous = current;
-        backtracked = false;
-        current = link;
-        continue;
-      }
-      if (node->is_leaf()) {
-        *leaf_page = current;
-        return Status::OK();
-      }
-      previous = current;
-      backtracked = false;
-      current = node->ChildFor(key);
-    }
-    CountRestart(cause);
-    if (++restarts > options_.max_restarts) {
-      return Status::Internal("too many restarts in search");
-    }
-    // Re-pin: a restarted search may legally observe a fresher tree, and
-    // releasing the old pin lets reclamation advance (Section 5.3).
-    guard->Refresh();
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Search
 // ---------------------------------------------------------------------------
@@ -556,34 +408,24 @@ Result<Value> SagivTree::Search(Key key) const {
   }
   stats_->Add(StatId::kSearches);
   EpochManager::Guard guard(epoch_.get());
-  if (options_.optimistic_reads) {
-    Result<Value> r = OptimisticSearch(key, &guard);
-    if (r.ok() || !r.status().IsAborted()) return r;
-    stats_->Add(StatId::kOptimisticFallbacks);
-  }
-  Page page;
-  PageId leaf_page;
-  Status s = DescendToLeaf(key, &guard, &page, &leaf_page);
-  if (!s.ok()) return s;
-  std::optional<Value> v = page.As<Node>()->FindLeafValue(key);
-  if (!v.has_value()) return Status::NotFound();
-  return *v;
+  return SearchWithGuard(key, &guard);
 }
 
-Result<Value> SagivTree::OptimisticSearch(Key key,
-                                          EpochManager::Guard* guard) const {
-  int failures = 0;
+Result<Value> SagivTree::SearchWithGuard(Key key,
+                                         EpochManager::Guard* guard) const {
   int restarts = 0;
   for (;;) {
     const PrimeBlockData pb = prime_.Read();
     PageId current = pb.root();
     RestartCause cause = RestartCause::kNone;
     bool restart = false;
+    int torn = 0;
     for (int steps = 0; !restart; ++steps) {
       if (steps > kMaxStepsPerAttempt) {
         return Status::Internal("descent did not terminate");
       }
-      const PageManager::ReadGuard g = pager_->OptimisticRead(current);
+      const PageManager::ReadGuard g = ReadNode(current);
+      if (!g.status().ok()) return g.status();
       Route route;  // defaults to kTorn for the unstable-guard case
       std::optional<Value> value;
       if (g.stable()) {
@@ -598,11 +440,10 @@ Result<Value> SagivTree::OptimisticSearch(Key key,
       }
       if (route.kind == Route::kTorn) {
         stats_->Add(StatId::kOptimisticRetries);
-        if (++failures > options_.optimistic_retry_limit) {
-          return Status::Aborted("optimistic retry budget exhausted");
-        }
+        BackOffTornRead(&torn);
         continue;  // re-read the same node
       }
+      torn = 0;
       stats_->Add(StatId::kOptimisticValidations);
       switch (route.kind) {
         case Route::kArrived:
@@ -648,22 +489,9 @@ size_t SagivTree::Scan(Key lo, Key hi,
   EpochManager::Guard guard(epoch_.get());
 
   size_t visited = 0;
-  Key next_key = lo;
-  if (options_.optimistic_reads) {
-    Status s = OptimisticScan(&next_key, hi, visitor, &guard, &visited);
-    if (!s.IsAborted()) return visited;  // done (or stopped / gave up)
-    stats_->Add(StatId::kOptimisticFallbacks);
-  }
-  return CopyScan(next_key, hi, visitor, &guard, visited);
-}
-
-Status SagivTree::OptimisticScan(Key* next_key_io, Key hi,
-                                 const std::function<bool(Key, Value)>& visitor,
-                                 EpochManager::Guard* guard,
-                                 size_t* visited) const {
-  int failures = 0;
   int restarts = 0;
-  Key next_key = *next_key_io;
+  int torn = 0;
+  Key next_key = lo;
   PageId current = kInvalidPageId;  // invalid: descend to locate the leaf
 
   // Entries of one leaf are harvested under a single version, validated,
@@ -674,25 +502,20 @@ Status SagivTree::OptimisticScan(Key* next_key_io, Key hi,
       lease.claimed() ? tl_read_buffers.entries : local_entries;
   buf.reserve(Node::kMaxEntries);
 
+  // A failure to position or read (fetch retries exhausted, restart or
+  // step bounds hit) ends the scan with the pairs already delivered.
   int steps = 0;
   for (;;) {
-    *next_key_io = next_key;
     if (current == kInvalidPageId) {
-      Result<PageId> leaf =
-          OptimisticFindNodeAtLevel(next_key, /*level=*/0, nullptr,
-                                    /*wait_for_level=*/true, &failures);
-      if (!leaf.ok()) {
-        // Aborted propagates to the copy fallback; a hard failure ends
-        // the scan with what was delivered (the copy path's behavior).
-        return leaf.status().IsAborted() ? leaf.status() : Status::OK();
-      }
+      Result<PageId> leaf = internal_FindNodeAtLevel(
+          next_key, /*level=*/0, nullptr, /*wait_for_level=*/true);
+      if (!leaf.ok()) return visited;
       current = *leaf;
       steps = 0;
     }
-    if (++steps > kMaxStepsPerAttempt) {
-      return Status::Internal("scan did not terminate");
-    }
-    const PageManager::ReadGuard g = pager_->OptimisticRead(current);
+    if (++steps > kMaxStepsPerAttempt) return visited;
+    const PageManager::ReadGuard g = ReadNode(current);
+    if (!g.status().ok()) return visited;
     enum { kRetry, kMove, kRestart, kDeliver } action = kRetry;
     PageId move_to = kInvalidPageId;
     StatId move_stat = StatId::kLinkFollows;
@@ -745,85 +568,39 @@ Status SagivTree::OptimisticScan(Key* next_key_io, Key hi,
         if (g.Validate()) action = kDeliver;
       }
     }
+    if (action == kRetry) {
+      stats_->Add(StatId::kOptimisticRetries);
+      BackOffTornRead(&torn);
+      continue;  // re-read the same page
+    }
+    torn = 0;
+    stats_->Add(StatId::kOptimisticValidations);
     switch (action) {
-      case kRetry:
-        stats_->Add(StatId::kOptimisticRetries);
-        if (++failures > options_.optimistic_retry_limit) {
-          return Status::Aborted("optimistic retry budget exhausted");
-        }
-        continue;  // re-read the same page
       case kMove:
-        stats_->Add(StatId::kOptimisticValidations);
         stats_->Add(move_stat);
         current = move_to;
         continue;
       case kRestart:
-        stats_->Add(StatId::kOptimisticValidations);
         CountRestart(cause);
-        if (++restarts > options_.max_restarts) {
-          return Status::Internal("too many restarts in scan");
-        }
-        guard->Refresh();
+        if (++restarts > options_.max_restarts) return visited;
+        guard.Refresh();
         current = kInvalidPageId;
         continue;
+      case kRetry:
       case kDeliver:
         break;
     }
-    stats_->Add(StatId::kOptimisticValidations);
     for (const Entry& e : buf) {
-      ++*visited;
-      if (!visitor(e.key, e.value)) return Status::OK();
+      ++visited;
+      if (!visitor(e.key, e.value)) return visited;
     }
-    if (leaf_high >= hi || leaf_high == kPlusInfinity) return Status::OK();
+    if (leaf_high >= hi || leaf_high == kPlusInfinity) return visited;
     next_key = leaf_high + 1;
     steps = 0;  // the steps bound is per positioning attempt, not per scan
     // Fast path: follow the leaf link (the probe above re-checks that it
     // still covers next_key); a nil link forces a fresh descent.
     current = leaf_link;
     if (current != kInvalidPageId) stats_->Add(StatId::kLinkFollows);
-  }
-}
-
-size_t SagivTree::CopyScan(Key next_key, Key hi,
-                           const std::function<bool(Key, Value)>& visitor,
-                           EpochManager::Guard* guard, size_t visited) const {
-  // Reuse the thread-local page across leaves (a fresh 4 KB buffer per
-  // scan costs a cache-cold write-back on every call).
-  TlReadBuffersLease lease;
-  Page local_page;
-  Page& page = lease.claimed() ? tl_read_buffers.page : local_page;
-  Node* node = page.As<Node>();
-  bool have_leaf = false;
-  for (;;) {
-    if (!have_leaf) {
-      PageId leaf_page;
-      if (!DescendToLeaf(next_key, guard, &page, &leaf_page).ok()) {
-        return visited;
-      }
-    }
-    // Deliver this leaf's keys in [next_key, hi].
-    for (uint32_t i = node->LowerBound(next_key); i < node->count; ++i) {
-      if (node->entries[i].key > hi) return visited;
-      ++visited;
-      if (!visitor(node->entries[i].key, node->entries[i].value)) {
-        return visited;
-      }
-    }
-    if (node->high >= hi || node->high == kPlusInfinity) return visited;
-    next_key = node->high + 1;
-    // Fast path: follow the leaf link; fall back to a fresh descent when
-    // compression moved the range.
-    const PageId link = node->link;
-    have_leaf = false;
-    if (link != kInvalidPageId) {
-      // A failed link fetch just falls back to a fresh descent (which
-      // retries with backoff); the page image is only trusted on OK.
-      if (pager_->Get(link, &page).ok() && !node->is_deleted() &&
-          node->is_leaf() && next_key > node->low && next_key <= node->high) {
-        stats_->Add(StatId::kLinkFollows);
-        have_leaf = true;
-      }
-    }
   }
 }
 
@@ -889,7 +666,6 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
                                                std::vector<PageId>* stack,
                                                int* restarts,
                                                const Node** live) const {
-  int failures = 0;
   PageId current = start;
   for (int steps = 0;; ++steps) {
     if (steps > kMaxStepsPerAttempt) {
@@ -949,15 +725,24 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
     // as a node access, exactly like the optimistic descents.
     Route route;
     const Node* node_image = nullptr;
-    for (;;) {
-      const PageManager::ReadGuard g = pager_->PeekLocked(current);
+    int torn = 0;
+    for (;; ++steps) {
+      if (steps > kMaxStepsPerAttempt) {
+        pager_->Unlock(current);
+        return Status::Internal("locked inspection did not terminate");
+      }
+      const PageManager::ReadGuard g = ReadNode(current, /*locked=*/true);
+      if (!g.status().ok()) {
+        pager_->Unlock(current);
+        return g.status();
+      }
       route = Route{};  // kTorn: also covers the unstable-guard case
       if (g.stable()) {
         node_image = g.page()->As<Node>();
         route = RouteForKey(NodeView(node_image), key, level);
         // Under the lock, a node of a HIGHER level than the target is a
-        // reused page, not a descent point — same restart the copy
-        // acquire takes on node->level != level.
+        // reused page, not a descent point — same restart
+        // AcquireTargetNode takes on node->level != level.
         if (route.kind == Route::kChild) route.kind = Route::kRestartStale;
         if (route.kind != Route::kTorn && !g.Validate()) {
           route.kind = Route::kTorn;
@@ -965,13 +750,10 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
       }
       if (route.kind != Route::kTorn) break;
       // Only an in-flight page reuse can keep tearing a locked page; it
-      // resolves in a bounded number of bumps, but budget it like the
-      // optimistic read path so a protocol bug cannot spin here.
+      // resolves in a bounded number of bumps, and the steps bound turns
+      // a protocol bug into an error instead of a spin.
       stats_->Add(StatId::kOptimisticRetries);
-      if (++failures > options_.optimistic_retry_limit) {
-        pager_->Unlock(current);
-        return Status::Aborted("in-place write retry budget exhausted");
-      }
+      BackOffTornRead(&torn);
     }
     switch (route.kind) {
       case Route::kArrived:
@@ -1010,16 +792,6 @@ void SagivTree::ApplyInsert(Node* node, Key key, uint64_t down_ptr) {
     assert(ok);
     (void)ok;
   }
-}
-
-void SagivTree::InsertIntoSafe(Page* page, PageId page_id, Key key,
-                               uint64_t down_ptr, AscentState* st) {
-  Node* node = page->As<Node>();
-  ApplyInsert(node, key, down_ptr);
-  pager_->Put(page_id, *page);
-  pager_->Unlock(page_id);
-  stats_->Add(StatId::kWriteBytesCopied, 2 * kPageSize);  // get + put
-  st->completed = true;
 }
 
 void SagivTree::InsertIntoSafeInPlace(PageId page_id, Key key,
@@ -1234,52 +1006,38 @@ Status SagivTree::TryAppendFast(Key key, Value value, bool* done) {
   // the epoch after a successful validation rejects exactly those
   // images. A stable epoch across snapshot and re-check proves the
   // validated node was link-reachable.
-  int failures = 0;
-  for (;;) {
-    const PageManager::ReadGuard g = pager_->PeekLocked(hint);
-    bool is_target = false;
-    bool torn = true;
-    if (g.stable()) {
-      const NodeView view(g.page()->As<Node>());
-      const uint32_t n = view.count();
-      is_target = !view.is_deleted() && view.is_leaf() &&
-                  view.link() == kInvalidPageId &&
-                  view.high() == kPlusInfinity && n < options_.capacity() &&
-                  key > (n > 0 ? view.entry_key(n - 1) : view.low());
-      torn = !g.Validate();
-    }
-    if (!torn) {
-      if (!is_target) break;  // stale hint (or leaf full): miss
-      if (frontier_seq_.load(std::memory_order_acquire) != seq) {
-        break;  // frontier split began or completed meanwhile: miss
-      }
-      if (options_.inplace_writes) {
-        PageManager::WriteGuard wg = pager_->BeginWrite(hint);
-        const size_t bytes =
-            wg.page()->As<Node>()->AppendLeafEntryInPlace(key, value);
-        wg.Release();
-        pager_->Unlock(hint);
-        stats_->Add(StatId::kInplaceWrites);
-        stats_->Add(StatId::kWriteBytesInplace, bytes);
-      } else {
-        Page page;
-        pager_->Get(hint, &page);
-        page.As<Node>()->InsertLeafEntry(key, value);
-        pager_->Put(hint, page);
-        pager_->Unlock(hint);
-        stats_->Add(StatId::kWriteBytesCopied, 2 * kPageSize);  // get + put
-      }
-      stats_->Add(StatId::kAppendFastHits);
-      size_.fetch_add(1, std::memory_order_relaxed);
-      NoteMaxKey(key);
-      *done = true;
-      return Status::OK();
-    }
-    stats_->Add(StatId::kOptimisticRetries);
-    if (++failures > options_.optimistic_retry_limit) break;  // miss
+  //
+  // A torn or faulted peek is a miss too: the normal descent re-reads
+  // (and surfaces a persistent fault) on its own.
+  const PageManager::ReadGuard g = pager_->PeekLocked(hint);
+  bool is_target = false;
+  if (g.stable()) {
+    const NodeView view(g.page()->As<Node>());
+    const uint32_t n = view.count();
+    is_target = !view.is_deleted() && view.is_leaf() &&
+                view.link() == kInvalidPageId &&
+                view.high() == kPlusInfinity && n < options_.capacity() &&
+                key > (n > 0 ? view.entry_key(n - 1) : view.low());
   }
+  // The epoch re-check rejects a frontier split that began or completed
+  // meanwhile.
+  if (!is_target || !g.Validate() ||
+      frontier_seq_.load(std::memory_order_acquire) != seq) {
+    pager_->Unlock(hint);
+    stats_->Add(StatId::kAppendFastMisses);
+    return Status::OK();
+  }
+  PageManager::WriteGuard wg = pager_->BeginWrite(hint);
+  const size_t bytes =
+      wg.page()->As<Node>()->AppendLeafEntryInPlace(key, value);
+  wg.Release();
   pager_->Unlock(hint);
-  stats_->Add(StatId::kAppendFastMisses);
+  stats_->Add(StatId::kInplaceWrites);
+  stats_->Add(StatId::kWriteBytesInplace, bytes);
+  stats_->Add(StatId::kAppendFastHits);
+  size_.fetch_add(1, std::memory_order_relaxed);
+  NoteMaxKey(key);
+  *done = true;
   return Status::OK();
 }
 
@@ -1368,38 +1126,16 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
   uint64_t down_ptr = value;
   uint32_t level = 0;
   int restarts = 0;
-  // In-place mode is per-operation: once a locked inspection exhausts its
-  // validation budget the whole operation falls back to copy semantics.
-  bool inplace = options_.inplace_writes;
   Page page;
-  Node* node = page.As<Node>();
 
   for (;;) {  // the "repeat ... until completed" of Fig. 5
-    // `view` is the locked node's image: the live page (in-place acquire,
-    // plain reads safe under the lock) or the private copy in `page`.
+    // `view` is the locked node's live image: plain reads are safe under
+    // the lock.
     const Node* view = nullptr;
-    bool locked_inplace = false;
-    if (inplace) {
-      Result<PageId> target =
-          AcquireTargetInPlace(ins_key, level, current, &stack, &restarts,
-                               &view);
-      if (target.ok()) {
-        current = *target;
-        locked_inplace = true;
-      } else if (target.status().IsAborted()) {
-        stats_->Add(StatId::kInplaceFallbacks);
-        inplace = false;
-      } else {
-        return target.status();
-      }
-    }
-    if (!locked_inplace) {
-      Result<PageId> target =
-          AcquireTargetNode(ins_key, level, current, &stack, &restarts, &page);
-      if (!target.ok()) return target.status();
-      current = *target;
-      view = node;
-    }
+    Result<PageId> target =
+        AcquireTargetInPlace(ins_key, level, current, &stack, &restarts, &view);
+    if (!target.ok()) return target.status();
+    current = *target;
 
     if (level == 0) {
       const uint32_t idx = view->LowerBound(ins_key);
@@ -1411,41 +1147,27 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
         // Upsert replace case: overwrite the value under the lock we
         // already hold — same critical section as the presence check, so
         // the key is never transiently absent. Size is unchanged.
-        if (locked_inplace) {
-          PageManager::WriteGuard wg = pager_->BeginWrite(current);
-          const size_t bytes =
-              wg.page()->As<Node>()->SetLeafValueAtInPlace(idx, value);
-          wg.Release();
-          pager_->Unlock(current);
-          stats_->Add(StatId::kInplaceWrites);
-          stats_->Add(StatId::kWriteBytesInplace, bytes);
-        } else {
-          node->entries[idx].value = value;
-          pager_->Put(current, page);
-          pager_->Unlock(current);
-          stats_->Add(StatId::kWriteBytesCopied, 2 * kPageSize);  // get + put
-        }
+        PageManager::WriteGuard wg = pager_->BeginWrite(current);
+        const size_t bytes =
+            wg.page()->As<Node>()->SetLeafValueAtInPlace(idx, value);
+        wg.Release();
+        pager_->Unlock(current);
+        stats_->Add(StatId::kInplaceWrites);
+        stats_->Add(StatId::kWriteBytesInplace, bytes);
         return Status::OK();
       }
     }
 
     AscentState st;
     if (view->count < options_.capacity()) {
-      if (locked_inplace) {
-        InsertIntoSafeInPlace(current, ins_key, down_ptr, &st);
-      } else {
-        InsertIntoSafe(&page, current, ins_key, down_ptr, &st);
-      }
+      InsertIntoSafeInPlace(current, ins_key, down_ptr, &st);
     } else {
-      if (locked_inplace) {
-        // Splits keep copy semantics: pay the copy-out the in-place
-        // acquire skipped, under the lock we already hold (locked fetches
-        // cannot fail).
-        pager_->Get(current, &page);
-        view = node;
-      }
+      // Splits keep copy semantics: pay the copy-out the in-place acquire
+      // skipped, under the lock we already hold (locked fetches cannot
+      // fail).
+      pager_->Get(current, &page);
       Status s =
-          view->is_root()
+          page.As<Node>()->is_root()
               ? InsertIntoUnsafeRoot(&page, current, ins_key, down_ptr, &st)
               : InsertIntoUnsafe(&page, current, ins_key, down_ptr, &st);
       if (!s.ok()) return s;
@@ -1516,56 +1238,27 @@ Status SagivTree::DeleteCommit(Key key, PageId start,
   std::vector<PageId> unused_stack;
   std::vector<PageId>& stack = want_stack ? *stack_in : unused_stack;
 
-  Page page;
-  Node* node = page.As<Node>();
   int restarts = 0;
-  // `view` is the locked leaf's image: the live page (in-place mode) or
-  // the private copy in `page`; after the removal it reflects the new
-  // count/high either way.
+  // `view` is the locked leaf's live image; after the removal it reflects
+  // the new count/high.
   const Node* view = nullptr;
-  bool locked_inplace = false;
-  PageId leaf = kInvalidPageId;
-  if (options_.inplace_writes) {
-    Result<PageId> target = AcquireTargetInPlace(
-        key, 0, start, want_stack ? &stack : nullptr, &restarts, &view);
-    if (target.ok()) {
-      leaf = *target;
-      locked_inplace = true;
-    } else if (target.status().IsAborted()) {
-      stats_->Add(StatId::kInplaceFallbacks);
-    } else {
-      return target.status();
-    }
-  }
-  if (!locked_inplace) {
-    Result<PageId> target = AcquireTargetNode(
-        key, 0, start, want_stack ? &stack : nullptr, &restarts, &page);
-    if (!target.ok()) return target.status();
-    leaf = *target;
-    view = node;
-  }
+  Result<PageId> target = AcquireTargetInPlace(
+      key, 0, start, want_stack ? &stack : nullptr, &restarts, &view);
+  if (!target.ok()) return target.status();
+  const PageId leaf = *target;
 
-  if (locked_inplace) {
-    // One search serves both the presence check and the removal: the
-    // lock pins the live image, so the index cannot shift in between.
-    const uint32_t idx = view->LowerBound(key);
-    if (idx >= view->count || view->entries[idx].key != key) {
-      pager_->Unlock(leaf);
-      return Status::NotFound();
-    }
-    PageManager::WriteGuard wg = pager_->BeginWrite(leaf);
-    const size_t bytes = wg.page()->As<Node>()->RemoveLeafEntryAtInPlace(idx);
-    wg.Release();
-    stats_->Add(StatId::kInplaceWrites);
-    stats_->Add(StatId::kWriteBytesInplace, bytes);
-  } else {
-    if (!node->RemoveLeafEntry(key)) {
-      pager_->Unlock(leaf);
-      return Status::NotFound();
-    }
-    pager_->Put(leaf, page);
-    stats_->Add(StatId::kWriteBytesCopied, 2 * kPageSize);  // get + put
+  // One search serves both the presence check and the removal: the lock
+  // pins the live image, so the index cannot shift in between.
+  const uint32_t idx = view->LowerBound(key);
+  if (idx >= view->count || view->entries[idx].key != key) {
+    pager_->Unlock(leaf);
+    return Status::NotFound();
   }
+  PageManager::WriteGuard wg = pager_->BeginWrite(leaf);
+  const size_t bytes = wg.page()->As<Node>()->RemoveLeafEntryAtInPlace(idx);
+  wg.Release();
+  stats_->Add(StatId::kInplaceWrites);
+  stats_->Add(StatId::kWriteBytesInplace, bytes);
   size_.fetch_sub(1, std::memory_order_relaxed);
 
   // §5.4: while still holding the lock, record the leaf for compression if
@@ -1591,7 +1284,6 @@ Status SagivTree::DeleteCommit(Key key, PageId start,
 
 void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
                                  bool probe_values, BatchStats* bs) const {
-  assert(options_.optimistic_reads);
   // Forfeits unconsumed prepaid-I/O credits at scope exit (a faulted read
   // returns before its MaybeSimulateIo and never consumes its credit).
   PageManager::IoBatchScope io_scope;
@@ -1643,6 +1335,7 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
 
     // One validated read per distinct page serves every op routed
     // through it; the sharers beyond the first are coalesced fetches.
+    bool should_yield = false;
     for (size_t gi = 0; gi < active.size();) {
       const PageId page_id = ops[active[gi]].current;
       size_t ge = gi;
@@ -1650,6 +1343,16 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
       const uint64_t group = static_cast<uint64_t>(ge - gi);
 
       const PageManager::ReadGuard g = pager_->OptimisticRead(page_id);
+      if (!g.status().ok()) {
+        // A faulted read is not retried for the group: each sharer
+        // finishes on the single-op descent, whose fetch retry budget is
+        // its own, so one op's bad luck cannot fail its batch-mates.
+        for (size_t k = gi; k < ge; ++k) {
+          ops[active[k]].state = BatchCont::kSolo;
+        }
+        gi = ge;
+        continue;
+      }
       routes.clear();
       values.clear();
       bool valid = false;
@@ -1669,14 +1372,16 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
       }
       if (!valid) {
         // Torn read: every sharer would have discarded this image had it
-        // read the page itself, so each op's retry budget advances.
+        // read the page itself, so each op's discard streak advances; all
+        // stay on the same page for the next round's re-read.
         stats_->Add(StatId::kOptimisticRetries, group);
         for (size_t k = gi; k < ge; ++k) {
           BatchCont& op = ops[active[k]];
-          if (++op.failures > options_.optimistic_retry_limit) {
-            op.state = BatchCont::kFallback;
+          if (++op.steps > kMaxStepsPerAttempt) {
+            op.state = BatchCont::kError;
+            op.status = Status::Internal("descent did not terminate");
           }
-          // else: stay on the same page for the next round's re-read
+          should_yield |= ++op.torn > kTornReadsBeforeYield;
         }
         gi = ge;
         continue;
@@ -1694,6 +1399,14 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
           continue;
         }
         const Route& route = routes[k - gi];
+        if (route.kind == Route::kTorn) {
+          // Inconsistent-but-validated image (defensive ChildFor miss):
+          // treat like a discarded read and re-read next round.
+          stats_->Add(StatId::kOptimisticRetries);
+          should_yield |= ++op.torn > kTornReadsBeforeYield;
+          continue;
+        }
+        op.torn = 0;
         switch (route.kind) {
           case Route::kArrived:
             op.state = BatchCont::kArrived;
@@ -1723,17 +1436,12 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
             }
             break;
           case Route::kTorn:
-            // Inconsistent-but-validated image (defensive ChildFor
-            // miss): treat like a discarded read and re-read next round.
-            stats_->Add(StatId::kOptimisticRetries);
-            if (++op.failures > options_.optimistic_retry_limit) {
-              op.state = BatchCont::kFallback;
-            }
-            break;
+            break;  // handled above
         }
       }
       gi = ge;
     }
+    if (should_yield) std::this_thread::yield();
   }
 }
 
@@ -1743,10 +1451,8 @@ void SagivTree::MultiSearch(const Key* keys, size_t n, Result<Value>* out,
   if (n == 0) return;
   stats_->Add(StatId::kBatchOps, n);
   if (batch_stats) batch_stats->ops = n;
-  if (!options_.optimistic_reads || n == 1) {
-    // Single-op path (also the whole-batch mode for copy-read trees:
-    // pipelining requires the in-place read protocol).
-    for (size_t i = 0; i < n; ++i) out[i] = Search(keys[i]);
+  if (n == 1) {
+    out[0] = Search(keys[0]);
     return;
   }
   stats_->Add(StatId::kSearches, n);
@@ -1777,21 +1483,9 @@ void SagivTree::MultiSearch(const Key* keys, size_t n, Result<Value>* out,
         case BatchCont::kError:
           out[w0 + j] = op.status;
           break;
-        case BatchCont::kFallback: {
-          // Same copy-read fallback as single-op Search.
-          stats_->Add(StatId::kOptimisticFallbacks);
-          Page page;
-          PageId leaf_page;
-          Status s = DescendToLeaf(op.key, &guard, &page, &leaf_page);
-          if (!s.ok()) {
-            out[w0 + j] = s;
-            break;
-          }
-          std::optional<Value> v = page.As<Node>()->FindLeafValue(op.key);
-          out[w0 + j] = v.has_value() ? Result<Value>(*v)
-                                      : Result<Value>(Status::NotFound());
+        case BatchCont::kSolo:
+          out[w0 + j] = SearchWithGuard(op.key, &guard);
           break;
-        }
         case BatchCont::kRunning:
           assert(false);  // PipelineDescents only returns terminal states
           out[w0 + j] = Status::Internal("batch descent did not terminate");
@@ -1809,13 +1503,11 @@ void SagivTree::MultiMutate(const Key* keys, const Value* values, size_t n,
   if (n == 0) return;
   stats_->Add(StatId::kBatchOps, n);
   if (batch_stats) batch_stats->ops = n;
-  if (!options_.optimistic_reads || n == 1) {
-    for (size_t i = 0; i < n; ++i) {
-      switch (kind) {
-        case MutateKind::kInsert: out[i] = Insert(keys[i], values[i]); break;
-        case MutateKind::kUpsert: out[i] = Upsert(keys[i], values[i]); break;
-        case MutateKind::kDelete: out[i] = Delete(keys[i]); break;
-      }
+  if (n == 1) {
+    switch (kind) {
+      case MutateKind::kInsert: out[0] = Insert(keys[0], values[0]); break;
+      case MutateKind::kUpsert: out[0] = Upsert(keys[0], values[0]); break;
+      case MutateKind::kDelete: out[0] = Delete(keys[0]); break;
     }
     return;
   }
@@ -1860,14 +1552,9 @@ void SagivTree::MultiMutate(const Key* keys, const Value* values, size_t n,
         out[w0 + j] = op.status;
         continue;
       }
-      if (op.state == BatchCont::kFallback) {
-        // Copy-read fallback descent, as internal_FindNodeAtLevel does
-        // after an exhausted optimistic budget.
-        stats_->Add(StatId::kOptimisticFallbacks);
-        op.stack.clear();
-        Result<PageId> found = CopyFindNodeAtLevel(
-            op.key, 0, want_stack ? &op.stack : nullptr,
-            /*wait_for_level=*/true);
+      if (op.state == BatchCont::kSolo) {
+        Result<PageId> found = internal_FindNodeAtLevel(
+            op.key, 0, want_stack ? &op.stack : nullptr);
         if (!found.ok()) {
           out[w0 + j] = found.status();
           continue;

@@ -129,7 +129,7 @@ struct Node {
   //
   // Each returns the number of bytes stored — the write-path bytes-moved
   // stats — with 0 meaning "no change" (separator already present).
-  // Compare >= 8 KB for the copy path's Get + Put cycle.
+  // Compare >= 8 KB for a Get + Put copy cycle.
 
   /// In-place InsertLeafEntry: shifts the tail up one slot back-to-front
   /// and publishes the new count last. Same preconditions.

@@ -59,6 +59,25 @@ void AtomicZero(uint8_t* dst) {
   }
 }
 
+// Take a page's seqlock odd for exclusive use and return the even version
+// it held. While another writer, fault-in or eviction holds it odd, reload
+// and wait: the exchange is only ever attempted against an even value, so
+// an odd first load must not end the reloading.
+uint64_t AcquireSeqlock(std::atomic<uint64_t>* seq) {
+  uint64_t v = seq->load(std::memory_order_relaxed);
+  for (;;) {
+    if ((v & 1) == 0) {
+      if (seq->compare_exchange_weak(v, v + 1, std::memory_order_acq_rel)) {
+        return v;
+      }
+      continue;  // the failed exchange reloaded v
+    }
+    // The holder may be blocked in a store read; give it the CPU.
+    std::this_thread::yield();
+    v = seq->load(std::memory_order_relaxed);
+  }
+}
+
 }  // namespace
 
 PageManager::PageManager(EpochManager* epoch, StatsCollector* stats,
@@ -245,14 +264,13 @@ Status PageManager::Get(PageId id, Page* out) const {
 
 PageManager::ReadGuard PageManager::OptimisticRead(PageId id) const {
   if (MaybeTrap("get", id, /*error_eligible=*/tl_locks_held == 0)) {
-    // Injected fetch failure: an invalid guard, which the optimistic read
-    // paths already treat as a torn read (retry, then copy fallback).
-    return ReadGuard();
+    return ReadGuard(Status::Unavailable("injected page-fetch failure"));
   }
   MaybeSimulateIo();
   Slot* slot = SlotFor(id);
-  if (paged_ && !EnsureResident(id, slot).ok()) {
-    return ReadGuard();  // store fault: callers treat it as a torn read
+  if (paged_) {
+    Status s = EnsureResident(id, slot);
+    if (!s.ok()) return ReadGuard(std::move(s));
   }
   // If the page is evicted after this point the eviction's version bumps
   // make Validate() fail, so the zeroed bytes can never be trusted.
@@ -277,15 +295,8 @@ PageManager::WriteGuard PageManager::BeginWrite(PageId id) {
   // The caller's paper lock excludes every Put/BeginWrite on this page;
   // only an in-flight reuse of a STALE page could hold the seq odd, and
   // the acquire discipline (validate as live under the lock first) rules
-  // that out. The CAS loop is defensive.
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if ((seq & 1) == 0 &&
-        slot->seq.compare_exchange_weak(seq, seq + 1,
-                                        std::memory_order_acq_rel)) {
-      break;
-    }
-  }
+  // that out. Waiting for an even version is defensive.
+  AcquireSeqlock(&slot->seq);
   if (paged_) {
     // Defensive re-fault: the caller validated the page under its paper
     // lock (PeekLocked), which pins it against eviction from then on —
@@ -321,14 +332,7 @@ void PageManager::Put(PageId id, const Page& in) {
   Slot* slot = SlotFor(id);
   // Serialize concurrent puts on the same page via the seqlock's odd state.
   // Protocol-level locks already prevent concurrent writers in practice.
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if ((seq & 1) == 0 &&
-        slot->seq.compare_exchange_weak(seq, seq + 1,
-                                        std::memory_order_acq_rel)) {
-      break;
-    }
-  }
+  const uint64_t seq = AcquireSeqlock(&slot->seq);
   AtomicCopyIn(in.bytes, slot->page.bytes, kPageSize);
   // A put defines the page's full content: resident + dirty, no read.
   if (paged_) MarkResidentDirty(slot);
@@ -480,14 +484,7 @@ Status PageManager::FaultInSlot(PageId id, Slot* slot) const {
   // Take the slot's seqlock odd: the fault-in is then private — copy
   // readers wait, optimistic readers discard. Competing fault-ins on the
   // same page serialize here too.
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if ((seq & 1) == 0 &&
-        slot->seq.compare_exchange_weak(seq, seq + 1,
-                                        std::memory_order_acq_rel)) {
-      break;
-    }
-  }
+  const uint64_t seq = AcquireSeqlock(&slot->seq);
   // Lost a fault-in race (another thread published while we CASed)?
   if (slot->state.load(std::memory_order_acquire) & kSlotResident) {
     slot->seq.store(seq, std::memory_order_release);  // content untouched

@@ -127,6 +127,12 @@ class PageManager {
     /// Invalid guard: stable() and Validate() are false.
     ReadGuard() = default;
 
+    /// OK unless the read itself failed — an injected "get" fault or a
+    /// store read error while faulting the page in. A faulted guard is
+    /// invalid, but unlike a torn read, re-reading at once will not heal
+    /// it: the caller retries with backoff or surfaces the error.
+    const Status& status() const { return status_; }
+
     /// The live page image (never copied). nullptr on an invalid guard.
     const Page* page() const { return page_; }
 
@@ -150,16 +156,19 @@ class PageManager {
     ReadGuard(const std::atomic<uint64_t>* seq, const Page* page,
               uint64_t version)
         : seq_(seq), page_(page), version_(version) {}
+    explicit ReadGuard(Status fault) : status_(std::move(fault)) {}
 
     const std::atomic<uint64_t>* seq_ = nullptr;
     const Page* page_ = nullptr;
     uint64_t version_ = 1;  // odd: never validates
+    Status status_;
   };
 
   /// Begin an optimistic in-place read (the fast-path alternative to Get
   /// that moves no page bytes). Counts as a node access: it pays the
   /// simulated I/O latency and the kGets counter exactly like Get, so the
-  /// paper's cost model still holds; Validate() is free.
+  /// paper's cost model still holds; Validate() is free. A failed read
+  /// (see ReadGuard::status) counts no kGets.
   ReadGuard OptimisticRead(PageId id) const;
 
   /// Batched-I/O overlap hook for the pipelined descent engine
@@ -197,7 +206,7 @@ class PageManager {
   /// I/O), so the paper's cost model holds on the locked moveright too;
   /// it is also the read half of an in-place read-modify-write — the
   /// BeginWrite that follows charges nothing further, making the whole
-  /// RMW one node access instead of the copy path's get + put. The guard
+  /// RMW one node access instead of a get + put. The guard
   /// still needs validation: page reuse (Retire -> Allocate zeroing ->
   /// initializing Put) runs WITHOUT the paper lock, so a stale page can
   /// move underneath even a lock holder — but once an image validates as
@@ -212,7 +221,7 @@ class PageManager {
 
   /// Handle for an in-place mutation of one page by the paper-lock
   /// holder: acquisition bumps the seqlock to odd (optimistic readers
-  /// discard what they read, copy-readers wait), Release() bumps it back
+  /// discard what they read, Get waits), Release() bumps it back
   /// to even, publishing the stores. Between the two, every store to
   /// page() bytes must go through relaxed word-sized atomics
   /// (PageStoreWord / Node's *InPlace primitives) so racing NodeView
@@ -271,8 +280,8 @@ class PageManager {
   /// PeekLocked) — the lock is what makes it the sole mutator. Counts
   /// one kPuts but charges NO additional simulated I/O: the PeekLocked
   /// that preceded it already paid for this node access, so the combined
-  /// read-modify-write costs one access instead of the two (get + put)
-  /// the copy path pays.
+  /// read-modify-write costs one access instead of the two of a get +
+  /// put copy cycle.
   WriteGuard BeginWrite(PageId id);
 
   /// Indivisible write of a page (the paper's put(A, x)).

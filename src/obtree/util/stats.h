@@ -32,11 +32,19 @@ namespace obtree {
 ///     operation runs — a restarted or failed op still counts once, never
 ///     twice. An Upsert counts as one kInserts either way.
 ///   * Outcome pairs (kAppendFastHits/kAppendFastMisses,
-///     kOptimisticValidations/kOptimisticRetries, kFetchRetries/
-///     kFetchGiveups) are disjoint: one attempt increments exactly one
-///     side, so rates are hits / (hits + misses) with no double counting.
-///     A fast-path miss also proceeds down the normal path, where it may
-///     increment that path's counters — misses are not failures.
+///     kOptimisticValidations/kOptimisticRetries) are disjoint: one
+///     attempt increments exactly one side, so rates are hits / (hits +
+///     misses) with no double counting. A fast-path miss also proceeds
+///     down the normal path, where it may increment that path's counters
+///     — misses are not failures.
+///   * Every page read of Search, Scan and the unlocked descents is in
+///     place and lands on one side of the validation pair, so over those
+///     calls kGets - kOptimisticValidations - kOptimisticRetries counts
+///     pages copied (0). A batch's shared read counts one kGets but one
+///     validation per sharer; a locked peek counts only its discards.
+///   * kFetchRetries counts faulted reads re-issued; kFetchGiveups counts
+///     reads whose fault outlasted the retry budget, each after
+///     fetch_retry_limit retries.
 ///   * Rebalancer counters name their tree explicitly in the comments
 ///     below (donor vs receiver); map-level aggregation sums all shards.
 enum class StatId : int {
@@ -62,23 +70,22 @@ enum class StatId : int {
                             ///< (nil link) no longer covers the key
   kRestartsMissingMergeTarget,  ///< restarts: deleted node with no merge
                                 ///< pointer yet (§5.1 window)
-  kBacktracks,           ///< wrong-node events recovered by backtracking
-                         ///< to the previous node (§5.2 optimization)
   kOptimisticValidations,  ///< optimistic in-place reads validated clean
   kOptimisticRetries,    ///< optimistic reads discarded (version moved or
                          ///< a put was in flight) and re-attempted
-  kOptimisticFallbacks,  ///< operations that exhausted the optimistic
-                         ///< retry budget and fell back to copy-reads
+  kOptimisticFallbacks,  ///< always 0: reads have no copy fallback (a
+                         ///< torn read re-reads the node); kept so the
+                         ///< counter export keeps its fields
   kInplaceWrites,        ///< no-split mutations applied to the live page
                          ///< under the seqlock (PageManager::BeginWrite)
                          ///< instead of a Get + Put copy cycle
-  kInplaceFallbacks,     ///< mutations that abandoned the in-place path
-                         ///< (locked inspection could not validate under
-                         ///< racing page reuse) and used copy semantics
+  kInplaceFallbacks,     ///< always 0: no-split mutations have no copy
+                         ///< fallback; kept so the counter export keeps
+                         ///< its fields
   kWriteBytesInplace,    ///< bytes stored by in-place mutations
-  kWriteBytesCopied,     ///< bytes moved by copy-path mutations on the
-                         ///< Insert/Delete paths (page copied out under
-                         ///< the lock + every page image written back)
+  kWriteBytesCopied,     ///< bytes moved by splits and root creations on
+                         ///< the Insert path (page copied out under the
+                         ///< lock + every page image written back)
   kAppendFastHits,       ///< inserts completed by the rightmost fast path
                          ///< (options().append_leaves): descent skipped,
                          ///< key appended to the hinted rightmost leaf
@@ -120,10 +127,10 @@ enum class StatId : int {
   kFaultsInjected,       ///< faults fired into this tree's page layer by
                          ///< the FaultInjector (errors only; stalls are
                          ///< invisible here)
-  kFetchRetries,         ///< page fetches re-issued after an Unavailable
-                         ///< result (bounded retry-with-backoff)
-  kFetchGiveups,         ///< fetches that exhausted the retry budget and
-                         ///< surfaced Unavailable to the operation
+  kFetchRetries,         ///< page reads re-issued after a fault (bounded
+                         ///< retry-with-backoff)
+  kFetchGiveups,         ///< reads that exhausted the retry budget and
+                         ///< surfaced the fault to the operation
   kMigrationAborts,      ///< shard migrations abandoned (deadline or
                          ///< retry exhaustion) and rolled back to the
                          ///< donor (attributed to the original donor)

@@ -190,11 +190,11 @@ TEST(BatchApiTest, PartialFailureUnderFaultInjection) {
   std::vector<Key> keys;
   for (int i = 0; i < 64; ++i) keys.push_back(2 * (i + 1));
 
-  // A bounded burst of page-fetch failures: the pipeline burns its
-  // optimistic budget first, then the earliest fallback descents eat the
-  // remaining fires and report Unavailable — while later batch-mates run
-  // after the injector disarms and succeed. Per-op independence is the
-  // contract under test.
+  // A bounded burst of page-fetch failures: the faulted shared read sends
+  // every op to its own single-op descent, the earliest of which eat the
+  // remaining fires through their fetch retry budgets and report
+  // Unavailable — while later batch-mates run after the injector disarms
+  // and succeed. Per-op independence is the contract under test.
   FaultSpec spec;
   spec.action = FaultAction::kError;
   spec.probability = 1.0;

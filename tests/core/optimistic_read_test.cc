@@ -2,10 +2,12 @@
 //
 // Tests of the optimistic in-place read path: Search/Scan descend without
 // copying pages, validating seqlock versions instead. The invariant under
-// test is the tentpole safety claim — a VALIDATED read never surfaces a
-// torn value — hammered against concurrent inserts, deletes, splits, and
-// the compressors' merge/retire/reuse cycle. Every insert stores
-// value = key + 1, so any torn or misrouted read is detectable.
+// test is the safety claim — a VALIDATED read never surfaces a torn
+// value — hammered against concurrent inserts, deletes, splits, and the
+// compressors' merge/retire/reuse cycle. Every insert stores
+// value = key + 1, so any torn or misrouted read is detectable. Faulted
+// page reads are retried with backoff and then surfaced, never mistaken
+// for torn reads.
 
 #include <atomic>
 #include <thread>
@@ -15,66 +17,85 @@
 
 #include "obtree/api/concurrent_map.h"
 #include "obtree/core/sagiv_tree.h"
+#include "obtree/util/fault_injector.h"
 #include "obtree/util/random.h"
 
 namespace obtree {
 namespace {
 
-TreeOptions SmallNodes(bool optimistic) {
+TreeOptions SmallNodes() {
   TreeOptions options;
   options.min_entries = 4;  // deep trees: more splits, merges, stale routes
-  options.optimistic_reads = optimistic;
   return options;
 }
 
-TEST(OptimisticReadTest, OptimisticAndCopyModesAgree) {
-  SagivTree optimistic(SmallNodes(true));
-  SagivTree copy(SmallNodes(false));
+TEST(OptimisticReadTest, SearchReturnsInsertedValues) {
+  SagivTree tree(SmallNodes());
   for (Key k = 1; k <= 2000; ++k) {
-    ASSERT_TRUE(optimistic.Insert(k * 3, k * 3 + 1).ok());
-    ASSERT_TRUE(copy.Insert(k * 3, k * 3 + 1).ok());
+    ASSERT_TRUE(tree.Insert(k * 3, k * 3 + 1).ok());
   }
   for (Key k = 1; k <= 2000; ++k) {
-    auto vo = optimistic.Search(k * 3);
-    auto vc = copy.Search(k * 3);
-    ASSERT_TRUE(vo.ok());
-    ASSERT_TRUE(vc.ok());
-    EXPECT_EQ(*vo, *vc);
-    EXPECT_EQ(*vo, k * 3 + 1);
-    EXPECT_TRUE(optimistic.Search(k * 3 + 1).status().IsNotFound());
+    auto v = tree.Search(k * 3);
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(*v, k * 3 + 1);
+    EXPECT_TRUE(tree.Search(k * 3 + 1).status().IsNotFound());
   }
 }
 
 TEST(OptimisticReadTest, OptimisticModeCountsValidations) {
-  SagivTree tree(SmallNodes(true));
+  SagivTree tree(SmallNodes());
   for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
   for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(tree.Search(k).ok());
   EXPECT_GT(tree.stats()->Get(StatId::kOptimisticValidations), 0u);
 }
 
-TEST(OptimisticReadTest, CopyModeNeverValidates) {
-  SagivTree tree(SmallNodes(false));
-  for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
-  for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(tree.Search(k).ok());
+// On a quiescent tree every page read of Search and Scan is in place and
+// validates or is discarded: kGets has no share left for a page copy.
+TEST(OptimisticReadTest, SearchAndScanCopyNoPage) {
+  SagivTree tree(SmallNodes());
+  for (Key k = 1; k <= 2000; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
+  const StatsSnapshot before = tree.stats()->Snapshot();
+  for (Key k = 1; k <= 2000; k += 7) ASSERT_TRUE(tree.Search(k).ok());
+  EXPECT_TRUE(tree.Search(5000).status().IsNotFound());
   size_t n = 0;
-  tree.Scan(1, 500, [&n](Key, Value) {
+  tree.Scan(100, 1500, [&n](Key, Value) {
     ++n;
     return true;
   });
-  EXPECT_EQ(n, 500u);
-  EXPECT_EQ(tree.stats()->Get(StatId::kOptimisticValidations), 0u);
-  EXPECT_EQ(tree.stats()->Get(StatId::kOptimisticRetries), 0u);
-  EXPECT_EQ(tree.stats()->Get(StatId::kOptimisticFallbacks), 0u);
+  EXPECT_EQ(n, 1401u);
+  const StatsSnapshot d = tree.stats()->Snapshot().Delta(before);
+  EXPECT_GT(d.Get(StatId::kGets), 0u);
+  EXPECT_EQ(d.Get(StatId::kGets),
+            d.Get(StatId::kOptimisticValidations) +
+                d.Get(StatId::kOptimisticRetries));
+  EXPECT_EQ(d.Get(StatId::kOptimisticFallbacks), 0u);
 }
 
-TEST(OptimisticReadTest, RejectsNonPositiveRetryLimit) {
-  TreeOptions options;
-  options.optimistic_retry_limit = 0;
-  EXPECT_FALSE(options.Validate().ok());
-  SagivTree tree(options);  // falls back to defaults
-  EXPECT_FALSE(tree.init_status().ok());
-  EXPECT_TRUE(tree.Insert(1, 2).ok());
-  EXPECT_TRUE(tree.Search(1).ok());
+// A read that keeps faulting is retried fetch_retry_limit times with
+// backoff, then surfaced as Unavailable — not re-read forever as if torn.
+TEST(OptimisticReadTest, PersistentFetchFaultGivesUpWithUnavailable) {
+  TreeOptions options = SmallNodes();
+  options.fetch_retry_limit = 3;
+  options.fetch_retry_backoff_us = 0;
+  SagivTree tree(options);
+  for (Key k = 1; k <= 200; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
+  const StatsSnapshot before = tree.stats()->Snapshot();
+
+  FaultSpec spec;
+  spec.action = FaultAction::kError;
+  spec.probability = 1.0;
+  FaultInjector::Instance().Arm("get", spec);
+  const Result<Value> r = tree.Search(42);
+  FaultInjector::Instance().DisarmAll();
+
+  EXPECT_TRUE(r.status().IsUnavailable()) << r.status().ToString();
+  const StatsSnapshot d = tree.stats()->Snapshot().Delta(before);
+  EXPECT_EQ(d.Get(StatId::kFetchRetries), 3u);
+  EXPECT_EQ(d.Get(StatId::kFetchGiveups), 1u);
+  EXPECT_EQ(d.Get(StatId::kFaultsInjected), 4u);
+  EXPECT_EQ(d.Get(StatId::kOptimisticRetries), 0u);
+  // The fault healed: the same lookup now succeeds.
+  ASSERT_TRUE(tree.Search(42).ok());
 }
 
 // The tentpole safety property: searches running against concurrent
@@ -82,7 +103,7 @@ TEST(OptimisticReadTest, RejectsNonPositiveRetryLimit) {
 // value — every hit is exactly key + 1, every miss a clean NotFound.
 TEST(OptimisticReadTest, ConcurrentSearchNeverReturnsTornValue) {
   MapOptions options;
-  options.tree = SmallNodes(true);
+  options.tree = SmallNodes();
   options.compression = CompressionMode::kQueueWorkers;
   options.compression_threads = 1;
   ConcurrentMap map(options);
@@ -144,7 +165,7 @@ TEST(OptimisticReadTest, ConcurrentSearchNeverReturnsTornValue) {
 // and with untorn values.
 TEST(OptimisticReadTest, ConcurrentScanStaysSortedAndUntorn) {
   MapOptions options;
-  options.tree = SmallNodes(true);
+  options.tree = SmallNodes();
   options.compression = CompressionMode::kQueueWorkers;
   options.compression_threads = 1;
   ConcurrentMap map(options);
@@ -183,48 +204,10 @@ TEST(OptimisticReadTest, ConcurrentScanStaysSortedAndUntorn) {
   EXPECT_TRUE(ok);
 }
 
-// A retry budget of 1 under heavy single-node churn exercises the
-// copy-read fallback; results must be identical either way.
-TEST(OptimisticReadTest, FallbackPathServesCorrectResults) {
-  TreeOptions options = SmallNodes(true);
-  options.optimistic_retry_limit = 1;
-  SagivTree tree(options);
-  constexpr Key kSpace = 4'000;
-  for (Key k = 2; k <= kSpace; k += 2) {
-    ASSERT_TRUE(tree.Insert(k, k + 1).ok());
-  }
-  std::atomic<bool> stop{false};
-  std::thread mutator([&tree, &stop]() {
-    Random rng(5);
-    while (!stop.load(std::memory_order_relaxed)) {
-      const Key k = (rng.Uniform(kSpace / 2) * 2 + 1);
-      if (rng.Uniform(2) == 0) {
-        (void)tree.Insert(k, k + 1);
-      } else {
-        (void)tree.Delete(k);
-      }
-    }
-  });
-  Random rng(3);
-  bool ok = true;
-  for (int i = 0; i < 20'000 && ok; ++i) {
-    const Key k = rng.Uniform(kSpace) + 1;
-    Result<Value> v = tree.Search(k);
-    if (v.ok()) {
-      ok = (*v == k + 1);
-    } else {
-      ok = v.status().IsNotFound();
-    }
-  }
-  stop.store(true);
-  mutator.join();
-  EXPECT_TRUE(ok);
-}
-
 // Reentrancy: a visitor that scans the same tree from inside a scan (the
 // thread-local harvest buffer must not be clobbered by the inner call).
 TEST(OptimisticReadTest, ReentrantScanFromVisitor) {
-  SagivTree tree(SmallNodes(true));
+  SagivTree tree(SmallNodes());
   for (Key k = 1; k <= 1000; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
   size_t outer = 0;
   size_t inner_total = 0;

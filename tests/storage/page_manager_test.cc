@@ -1,13 +1,16 @@
 // Copyright 2026 The obtree Authors.
 //
 // Tests of the §2.2 storage model: indivisible get/put (readers never see a
-// torn page), paper locks that exclude lockers but not readers, and the
-// §5.3 retire/reclaim cycle.
+// torn page), paper locks that exclude lockers but not readers, the §5.3
+// retire/reclaim cycle, and concurrent fault-ins over a persistent store.
 
 #include "obtree/storage/page_manager.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -427,6 +430,72 @@ TEST_F(PageManagerTest, ReadersNeverSeeTornPages) {
   stop.store(true);
   for (auto& th : readers) th.join();
   EXPECT_FALSE(torn.load());
+}
+
+// A persistent store whose ReadPage blocks until Open(): it holds a
+// fault-in inside PageManager with the page's seqlock odd.
+class LatchedStore : public PageStore {
+ public:
+  bool persistent() const override { return true; }
+  Status ReadPage(PageId, void* buf) override {
+    std::unique_lock<std::mutex> l(mu_);
+    ++reads_;
+    cv_.notify_all();
+    cv_.wait(l, [this] { return open_; });
+    std::memset(buf, 0xAB, kPageSize);
+    return Status::OK();
+  }
+  Status WritePage(PageId, const void*) override { return Status::OK(); }
+  Status Commit(StoreMeta*) override { return Status::OK(); }
+
+  void WaitForRead() {
+    std::unique_lock<std::mutex> l(mu_);
+    cv_.wait(l, [this] { return reads_ > 0; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> l(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int reads_ = 0;
+  bool open_ = false;
+};
+
+// Two readers fault in the same page: the second finds the seqlock odd
+// (the first is inside the store read) and must wait for it to turn even
+// again, not spin on its first load forever. A hang here fails through
+// the test's ctest TIMEOUT.
+TEST(PageManagerFaultInTest, SecondReaderWaitsOutInFlightFaultIn) {
+  EpochManager epoch;
+  StatsCollector stats;
+  LatchedStore store;
+  PageManager pm(&epoch, &stats, &store);
+  StoreMeta meta;
+  meta.next_fresh = 1;  // page 0 exists in the store and is not resident
+  pm.RestoreFromMeta(meta);
+
+  Page first_page;
+  Page second_page;
+  Status first_status;
+  Status second_status;
+  std::thread first([&] { first_status = pm.Get(0, &first_page); });
+  store.WaitForRead();
+  std::thread second([&] { second_status = pm.Get(0, &second_page); });
+  // Let the second reader reach the odd seqlock before the read finishes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  store.Open();
+  first.join();
+  second.join();
+
+  EXPECT_TRUE(first_status.ok()) << first_status.ToString();
+  EXPECT_TRUE(second_status.ok()) << second_status.ToString();
+  EXPECT_EQ(first_page.bytes[0], 0xAB);
+  EXPECT_EQ(second_page.bytes[kPageSize - 1], 0xAB);
+  EXPECT_EQ(stats.Get(StatId::kStoreReads), 1u);
 }
 
 }  // namespace
